@@ -32,7 +32,6 @@
 #include "fo/wire.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
-#include "obs/stats_feed.h"
 #include "service/client_fleet.h"
 #include "service/ingest.h"
 #include "service/session.h"
@@ -48,6 +47,7 @@ using service::ClientFleet;
 using service::IngestStats;
 using service::ReportRouter;
 using service::RoundRequest;
+using service::RouterStageNanos;
 
 constexpr double kEpsilon = 1.0;
 
@@ -88,14 +88,13 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
                 obs::MetricsRegistry* metrics, const RunFn& run) {
   double best = 0.0;
   Histogram estimate;
-  // Feeds and stage set register once, outside the timed window; with
+  // Feed and stage sink register once, outside the timed window; with
   // --metrics the window itself pays the router's stage clock reads plus
   // the per-rep counter publication — the instrumented serving cost.
-  std::unique_ptr<obs::StageSet> stages;
-  std::unique_ptr<obs::IngestStatsFeed> feed;
+  const obs::StageSink stages(metrics, nullptr, OracleIdName(oracle));
+  std::unique_ptr<obs::StatsFeed<IngestStats>> feed;
   if (metrics != nullptr) {
-    stages = std::make_unique<obs::StageSet>(metrics, OracleIdName(oracle));
-    feed = std::make_unique<obs::IngestStatsFeed>(
+    feed = std::make_unique<obs::StatsFeed<IngestStats>>(
         metrics, obs::Labels{{"session", OracleIdName(oracle)}});
   }
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
@@ -104,14 +103,20 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
     if (metrics != nullptr) router.EnableStageTiming();
     const auto start = std::chrono::steady_clock::now();
     run(router);
+    const uint64_t ingest_end = obs::NowNs();
     IngestStats stats;
     auto sketch = router.Close(&stats);
+    const uint64_t close_end = obs::NowNs();
     sketch->EstimateInto(&estimate);
-    if (stages != nullptr) {
-      stages->Record(obs::Stage::kArenaDecode,
-                     router.stage_nanos().arena_decode);
-      stages->Record(obs::Stage::kShardFold, router.stage_nanos().shard_fold);
-      stages->Record(obs::Stage::kMerge, router.stage_nanos().merge);
+    if (feed != nullptr) {
+      // The serving path's anchoring: decode and fold as the ingest
+      // window's tail slices, merge as the Close window.
+      const RouterStageNanos& busy = router.stage_nanos();
+      const uint64_t fold_start = ingest_end - busy.shard_fold;
+      stages.Record(obs::Stage::kArenaDecode, 0,
+                    {fold_start - busy.arena_decode, fold_start});
+      stages.Record(obs::Stage::kShardFold, 0, {fold_start, ingest_end});
+      stages.Record(obs::Stage::kMerge, 0, {ingest_end, close_end});
       feed->Add(stats);
     }
     const double wall = Seconds(start);

@@ -473,7 +473,7 @@ BENCHMARK(BM_MechanismStep)->DenseRange(0, 6);
 // --- src/obs/ hot-path overhead -------------------------------------------
 // These pin the cost of the metrics primitives the serving layer pays per
 // event: one relaxed fetch_add per counter hit, three per histogram
-// observation, plus one steady_clock read per StageTimer endpoint. A
+// observation, plus one steady_clock read per stage-window endpoint. A
 // regression here is a regression on every instrumented hot path.
 
 void BM_ObsCounterAdd(benchmark::State& state) {
@@ -499,13 +499,16 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 BENCHMARK(BM_ObsHistogramObserve);
 
 void BM_ObsStageTimer(benchmark::State& state) {
-  // Full RAII cycle: two NowNs clock reads plus the bucketed Observe —
-  // what one instrumented pipeline stage costs per round.
+  // One stage window: two NowNs clock reads plus the sink's Record (the
+  // bucketed Observe; no recorder attached) — what one instrumented
+  // pipeline stage costs per round.
   obs::MetricsRegistry registry;
-  obs::StageSet stages(&registry, "bm");
+  const obs::StageSink stages(&registry, nullptr, "bm");
   for (auto _ : state) {
-    obs::StageTimer timer(&stages, obs::Stage::kMerge);
-    benchmark::DoNotOptimize(&timer);
+    obs::StageWindow window{obs::NowNs(), 0};
+    benchmark::DoNotOptimize(window);
+    window.end_ns = obs::NowNs();
+    stages.Record(obs::Stage::kMerge, 0, window);
   }
 }
 BENCHMARK(BM_ObsStageTimer);

@@ -65,7 +65,6 @@
 #include "obs/metrics.h"
 #include "obs/scrape_endpoint.h"
 #include "obs/stage_trace.h"
-#include "obs/stats_feed.h"
 #include "service/client_fleet.h"
 #include "service/session.h"
 #include "transport/batch_file.h"
@@ -504,8 +503,8 @@ int main(int argc, char** argv) {
       [&](Frame&& frame) { replay_buffer.Deliver(std::move(frame)); });
   // The log replayer owns its decoder, so its stats reach the canonical
   // frame metrics through a feed the demo owns.
-  obs::FrameStatsFeed replay_feed(&registry,
-                                  obs::Labels{{"session", "replay"}});
+  obs::StatsFeed<transport::FrameStats> replay_feed(
+      &registry, obs::Labels{{"session", "replay"}});
   replay_feed.Add(replay_stats);
   SessionOptions replay_session_options = options;
   replay_session_options.metrics_label = "replay";

@@ -1,36 +1,12 @@
 #include "fo/report_arena.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 
 #include "fo/hr.h"
 #include "fo/olh.h"
 
 namespace ldpids {
-
-ArenaDecodeStats& ArenaDecodeStats::operator+=(const ArenaDecodeStats& other) {
-  decoded += other.decoded;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_timestamp += other.wrong_timestamp;
-  for (std::size_t i = 0; i < kWireErrorCount; ++i) {
-    wire_errors[i] += other.wire_errors[i];
-  }
-  return *this;
-}
-
-std::string ArenaDecodeStats::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "decoded=%llu malformed=%llu wrong_oracle=%llu "
-                "wrong_timestamp=%llu",
-                static_cast<unsigned long long>(decoded),
-                static_cast<unsigned long long>(malformed),
-                static_cast<unsigned long long>(wrong_oracle),
-                static_cast<unsigned long long>(wrong_timestamp));
-  return buf;
-}
 
 void ReportArena::BeginRound(OracleId oracle, uint32_t timestamp,
                              const FoParams& params) {

@@ -45,6 +45,7 @@
 
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
+#include "obs/counter_table.h"
 #include "util/buffer_pool.h"
 
 namespace ldpids {
@@ -61,8 +62,28 @@ struct ArenaDecodeStats {
   uint64_t total() const {
     return decoded + malformed + wrong_oracle + wrong_timestamp;
   }
-  ArenaDecodeStats& operator+=(const ArenaDecodeStats& other);
-  std::string ToString() const;
+
+  static constexpr obs::CounterRow<ArenaDecodeStats> kCounters[] = {
+      {&ArenaDecodeStats::decoded, "decoded", "ldpids_arena_decoded_total"},
+      {&ArenaDecodeStats::malformed, "malformed", "ldpids_arena_rejects_total",
+       "reason", "malformed"},
+      {&ArenaDecodeStats::wrong_oracle, "wrong_oracle",
+       "ldpids_arena_rejects_total", "reason", "wrong_oracle"},
+      {&ArenaDecodeStats::wrong_timestamp, "wrong_timestamp",
+       "ldpids_arena_rejects_total", "reason", "wrong_timestamp"},
+  };
+  // Labeled by WireErrorName; kOk (slot 0) is not a wire error.
+  static constexpr obs::CounterArrayRow<ArenaDecodeStats, kWireErrorCount>
+      kCounterArray = {&ArenaDecodeStats::wire_errors,
+                       "ldpids_arena_wire_errors_total", "reason",
+                       [](std::size_t slot) {
+                         return WireErrorName(static_cast<WireError>(slot));
+                       },
+                       1};
+  ArenaDecodeStats& operator+=(const ArenaDecodeStats& other) {
+    return obs::AddCounters(*this, other);
+  }
+  std::string ToString() const { return obs::CountersToString(*this); }
 };
 
 class ReportArena {

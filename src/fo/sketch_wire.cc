@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 #include "util/histogram.h"
@@ -118,37 +117,6 @@ bool PeekPartialSketchNodeId(const uint8_t* data, std::size_t size,
   }
   *node_id = GetU64Le(data + 4);
   return true;
-}
-
-SketchMergeStats& SketchMergeStats::operator+=(
-    const SketchMergeStats& other) {
-  merged += other.merged;
-  users_merged += other.users_merged;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_round += other.wrong_round;
-  params_mismatch += other.params_mismatch;
-  duplicate_node += other.duplicate_node;
-  missing += other.missing;
-  return *this;
-}
-
-std::string SketchMergeStats::ToString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "merged=%llu users=%llu malformed=%llu wrong_oracle=%llu "
-      "wrong_round=%llu params_mismatch=%llu duplicate_node=%llu "
-      "missing=%llu",
-      static_cast<unsigned long long>(merged),
-      static_cast<unsigned long long>(users_merged),
-      static_cast<unsigned long long>(malformed),
-      static_cast<unsigned long long>(wrong_oracle),
-      static_cast<unsigned long long>(wrong_round),
-      static_cast<unsigned long long>(params_mismatch),
-      static_cast<unsigned long long>(duplicate_node),
-      static_cast<unsigned long long>(missing));
-  return buf;
 }
 
 bool MergePartialSketch(const uint8_t* data, std::size_t size,

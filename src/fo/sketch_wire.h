@@ -51,6 +51,7 @@
 
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
+#include "obs/counter_table.h"
 
 namespace ldpids {
 
@@ -140,8 +141,29 @@ struct SketchMergeStats {
   // Every payload handed to MergePartialSketch lands in exactly one of
   // merged / rejected() (`missing` and `users_merged` do not add here).
   uint64_t total() const { return merged + rejected(); }
-  SketchMergeStats& operator+=(const SketchMergeStats& other);
-  std::string ToString() const;
+
+  static constexpr obs::CounterRow<SketchMergeStats> kCounters[] = {
+      {&SketchMergeStats::merged, "merged",
+       "ldpids_sketch_merge_partials_total", "result", "merged"},
+      {&SketchMergeStats::users_merged, "users_merged",
+       "ldpids_sketch_merge_users_total"},
+      {&SketchMergeStats::malformed, "malformed",
+       "ldpids_sketch_merge_partials_total", "result", "malformed"},
+      {&SketchMergeStats::wrong_oracle, "wrong_oracle",
+       "ldpids_sketch_merge_partials_total", "result", "wrong_oracle"},
+      {&SketchMergeStats::wrong_round, "wrong_round",
+       "ldpids_sketch_merge_partials_total", "result", "wrong_round"},
+      {&SketchMergeStats::params_mismatch, "params_mismatch",
+       "ldpids_sketch_merge_partials_total", "result", "params_mismatch"},
+      {&SketchMergeStats::duplicate_node, "duplicate_node",
+       "ldpids_sketch_merge_partials_total", "result", "duplicate_node"},
+      {&SketchMergeStats::missing, "missing",
+       "ldpids_sketch_merge_partials_total", "result", "missing"},
+  };
+  SketchMergeStats& operator+=(const SketchMergeStats& other) {
+    return obs::AddCounters(*this, other);
+  }
+  std::string ToString() const { return obs::CountersToString(*this); }
 };
 
 // Validates one encoded partial sketch against the round's expectations

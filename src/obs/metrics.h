@@ -24,8 +24,9 @@
 //     the scrape land in the next one.
 //
 // Exporters (Prometheus text exposition, structured JSON) live in
-// obs/export.h; per-pipeline-stage timing helpers in obs/stage_trace.h;
-// the bridges from the legacy stats structs in obs/stats_feed.h.
+// obs/export.h; per-pipeline-stage timing in obs/stage_trace.h. The data
+// plane's counter structs publish here through StatsFeed (below), driven
+// by their descriptor tables (obs/counter_table.h).
 #ifndef LDPIDS_OBS_METRICS_H_
 #define LDPIDS_OBS_METRICS_H_
 
@@ -38,6 +39,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/counter_table.h"
 
 namespace ldpids::obs {
 
@@ -197,6 +200,53 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
   // Snapshot sequence (see MetricsSnapshot::seq).
   mutable std::atomic<uint64_t> snapshot_seq_{0};
+};
+
+// Publishes one component's counter struct S (obs/counter_table.h) into
+// registry counters named by S's descriptor table. Every counter is
+// registered at construction, so publishing on a hot path never touches
+// the registry mutex. Two publication styles:
+//   Add(delta)        — counters advance by a fresh delta (e.g. one
+//                       round's IngestStats).
+//   Publish(current)  — the caller hands the component's cumulative
+//                       struct; the feed adds the difference from the last
+//                       one published, so republishing a snapshot is
+//                       harmless.
+// Give each component its own feed (feeds may share labels — counters are
+// additive).
+template <typename S>
+class StatsFeed {
+ public:
+  explicit StatsFeed(MetricsRegistry* registry, const Labels& labels = {}) {
+    ForEachCounter<S>([&](auto, const char* metric, const char* label,
+                          const char* value) {
+      Counter* counter = nullptr;
+      if (metric != nullptr) {
+        Labels row_labels = labels;
+        if (label != nullptr) row_labels.emplace_back(label, value);
+        counter = &registry->GetCounter(metric, row_labels);
+      }
+      counters_.push_back(counter);
+    });
+  }
+
+  void Add(const S& delta) {
+    std::size_t i = 0;
+    ForEachCounter<S>([&](auto at, auto&&...) {
+      if (Counter* counter = counters_[i++]) counter->Add(at(delta));
+    });
+  }
+
+  void Publish(const S& current) {
+    S delta = current;
+    ForEachCounter<S>([&](auto at, auto&&...) { at(delta) -= at(last_); });
+    Add(delta);
+    last_ = current;
+  }
+
+ private:
+  std::vector<Counter*> counters_;  // table order; null = not exported
+  S last_{};
 };
 
 // Steady-clock nanoseconds, the time base for every stage histogram.

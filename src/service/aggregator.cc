@@ -1,5 +1,6 @@
 #include "service/aggregator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -7,14 +8,11 @@
 
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
-#include "obs/stats_feed.h"
 #include "util/histogram.h"
 
 namespace ldpids::service {
 
 // --- AggregatorNode -------------------------------------------------------
-
-AggregatorNode::~AggregatorNode() = default;
 
 AggregatorNode::AggregatorNode(const FrequencyOracle& fo, OracleId oracle,
                                std::size_t domain, AggregatorOptions options)
@@ -28,7 +26,8 @@ AggregatorNode::AggregatorNode(const FrequencyOracle& fo, OracleId oracle,
     if (!options_.metrics_label.empty()) {
       labels.emplace_back("node", options_.metrics_label);
     }
-    ingest_feed_ = std::make_unique<obs::IngestStatsFeed>(&reg, labels);
+    ingest_feed_ =
+        std::make_unique<obs::StatsFeed<IngestStats>>(&reg, labels);
     rounds_counter_ =
         &reg.GetCounter("ldpids_aggregator_rounds_total", labels);
     partials_counter_ =
@@ -48,23 +47,27 @@ void AggregatorNode::ExecuteRound(const RoundRequest& request,
   ReportRouter router(fo_, params, oracle_,
                       static_cast<uint32_t>(request.timestamp),
                       options_.num_shards);
-  uint64_t t0 = 0;
-  if (timed) {
-    router.EnableStageTiming();
-    t0 = obs::NowNs();
-  }
+  if (timed) router.EnableStageTiming();
+  const uint64_t t0 = timed ? obs::NowNs() : 0;
   ingest(request, router);
-  if (timed) {
-    out->ingest_start_ns = t0;
-    out->ingest_end_ns = obs::NowNs();
-    out->transport_ns = out->ingest_end_ns - t0;
-  }
+  const uint64_t t1 = timed ? obs::NowNs() : 0;
   out->sketch = router.Close(&out->stats);
+  out->decode_stats = router.decode_stats();
   if (timed) {
-    out->merge_start_ns = out->ingest_end_ns;
-    out->merge_end_ns = obs::NowNs();
-    out->router_ns = router.stage_nanos();
-    out->decode_stats = router.decode_stats();
+    out->window(obs::Stage::kMerge) = {t1, obs::NowNs()};
+    // Arena decode and shard folding run interleaved inside the ingest
+    // window (per IngestBatch call), so they have no wall window of their
+    // own: anchor them as its two tail slices, leaving the head slice —
+    // time spent waiting on clients and the network — as transport RTT.
+    // Saturate: fold time summed across shards can exceed the window on
+    // multi-thread routers, which collapses the head slice to nothing.
+    auto minus = [](uint64_t a, uint64_t b) { return a > b ? a - b : 0; };
+    const RouterStageNanos& busy = router.stage_nanos();
+    const uint64_t fold_start = minus(t1, busy.shard_fold);
+    const uint64_t arena_start = minus(fold_start, busy.arena_decode);
+    out->window(obs::Stage::kTransportRtt) = {t0, std::max(t0, arena_start)};
+    out->window(obs::Stage::kArenaDecode) = {arena_start, fold_start};
+    out->window(obs::Stage::kShardFold) = {fold_start, t1};
   }
   ++rounds_;
   stats_ += out->stats;
@@ -199,11 +202,7 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
   // flushed the round (dead children) — the root's "transport RTT".
   const std::vector<PayloadRef> partials =
       buffer_.TakeRound(request.round_index);
-  if (timed) {
-    out->ingest_start_ns = t0;
-    out->ingest_end_ns = obs::NowNs();
-    out->transport_ns = out->ingest_end_ns - t0;
-  }
+  if (timed) out->window(obs::Stage::kTransportRtt) = {t0, obs::NowNs()};
   const FoParams params{request.epsilon, request.domain};
   out->sketch = fo_.CreateSketch(params);
   const uint64_t m0 = timed ? obs::NowNs() : 0;
@@ -221,11 +220,7 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
     out->sketch_merges.missing +=
         num_children_ - out->sketch_merges.merged;
   }
-  if (timed) {
-    out->sketch_merge_start_ns = m0;
-    out->sketch_merge_end_ns = obs::NowNs();
-    out->sketch_merge_ns = out->sketch_merge_end_ns - m0;
-  }
+  if (timed) out->window(obs::Stage::kSketchMerge) = {m0, obs::NowNs()};
   // IngestStats parity so session-level accounting (stats(), the ingest
   // feed, the recorder's accepted/rejected annotations) keeps meaning
   // "reports this round speaks for" at every tier of the tree.

@@ -45,11 +45,6 @@
 #include "transport/frame.h"
 #include "transport/round_buffer.h"
 
-namespace ldpids::obs {
-class Counter;
-class IngestStatsFeed;
-}  // namespace ldpids::obs
-
 namespace ldpids::service {
 
 struct AggregatorOptions {
@@ -74,13 +69,12 @@ class AggregatorNode {
  public:
   AggregatorNode(const FrequencyOracle& fo, OracleId oracle,
                  std::size_t domain, AggregatorOptions options = {});
-  // Out of line: the feed member's type is incomplete here.
-  ~AggregatorNode();
 
   // Executes one round's ingest: ReportRouter open → `ingest` delivers
   // the packets → close into `out->sketch`, with stats and (when `timed`)
-  // stage windows. Exceptions from the transport propagate; `*out` is
-  // discarded wholesale by callers on throw.
+  // the transport_rtt / arena_decode / shard_fold / merge windows.
+  // Exceptions from the transport propagate; `*out` is discarded wholesale
+  // by callers on throw.
   void ExecuteRound(const RoundRequest& request, const RoundTransport& ingest,
                     bool timed, RoundOutcome* out);
 
@@ -113,7 +107,7 @@ class AggregatorNode {
   uint64_t rounds_ = 0;
   IngestStats stats_;
   // Observability (null when options_.metrics is).
-  std::unique_ptr<obs::IngestStatsFeed> ingest_feed_;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> ingest_feed_;
   obs::Counter* rounds_counter_ = nullptr;
   obs::Counter* partials_counter_ = nullptr;
   obs::Counter* partial_bytes_counter_ = nullptr;
@@ -206,6 +200,7 @@ class RootSession {
   std::size_t num_children() const { return num_children_; }
 
  private:
+  // Fills the transport_rtt (TakeRound) and sketch_merge windows.
   void MergeRound(const RoundRequest& request, bool timed, RoundOutcome* out);
 
   const FrequencyOracle& fo_;

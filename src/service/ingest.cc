@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,30 +24,6 @@ const char* IngestResultName(IngestResult result) {
     case IngestResult::kSketchRejected: return "sketch rejected";
   }
   return "?";
-}
-
-IngestStats& IngestStats::operator+=(const IngestStats& other) {
-  accepted += other.accepted;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_timestamp += other.wrong_timestamp;
-  duplicate += other.duplicate;
-  sketch_rejected += other.sketch_rejected;
-  return *this;
-}
-
-std::string IngestStats::ToString() const {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "accepted=%llu malformed=%llu wrong_oracle=%llu "
-                "wrong_timestamp=%llu duplicate=%llu sketch_rejected=%llu",
-                static_cast<unsigned long long>(accepted),
-                static_cast<unsigned long long>(malformed),
-                static_cast<unsigned long long>(wrong_oracle),
-                static_cast<unsigned long long>(wrong_timestamp),
-                static_cast<unsigned long long>(duplicate),
-                static_cast<unsigned long long>(sketch_rejected));
-  return buf;
 }
 
 IngestShard::IngestShard(const FrequencyOracle& fo, const FoParams& params,
@@ -274,7 +248,6 @@ void ReportRouter::IngestStaged(std::size_t num_threads) {
 std::unique_ptr<FoSketch> ReportRouter::Close(IngestStats* stats) {
   if (closed_) throw std::logic_error("router already closed");
   closed_ = true;
-  const uint64_t t0 = timing_ ? obs::NowNs() : 0;
   std::unique_ptr<FoSketch> merged = shards_[0].TakeSketch();
   if (stats != nullptr) *stats += shards_[0].stats();
   for (std::size_t i = 1; i < shards_.size(); ++i) {
@@ -289,7 +262,6 @@ std::unique_ptr<FoSketch> ReportRouter::Close(IngestStats* stats) {
     stats->wrong_oracle += decode_stats_.wrong_oracle;
     stats->wrong_timestamp += decode_stats_.wrong_timestamp;
   }
-  if (timing_) stage_nanos_.merge += obs::NowNs() - t0;
   return merged;
 }
 

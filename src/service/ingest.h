@@ -38,6 +38,7 @@
 #include "fo/frequency_oracle.h"
 #include "fo/report_arena.h"
 #include "fo/wire.h"
+#include "obs/counter_table.h"
 #include "util/u64_set.h"
 
 namespace ldpids::service {
@@ -68,8 +69,25 @@ struct IngestStats {
            duplicate + sketch_rejected;
   }
   uint64_t rejected() const { return total() - accepted; }
-  IngestStats& operator+=(const IngestStats& other);
-  std::string ToString() const;
+
+  static constexpr obs::CounterRow<IngestStats> kCounters[] = {
+      {&IngestStats::accepted, "accepted", "ldpids_ingest_reports_total",
+       "result", "accepted"},
+      {&IngestStats::malformed, "malformed", "ldpids_ingest_reports_total",
+       "result", "malformed"},
+      {&IngestStats::wrong_oracle, "wrong_oracle",
+       "ldpids_ingest_reports_total", "result", "wrong_oracle"},
+      {&IngestStats::wrong_timestamp, "wrong_timestamp",
+       "ldpids_ingest_reports_total", "result", "wrong_timestamp"},
+      {&IngestStats::duplicate, "duplicate", "ldpids_ingest_reports_total",
+       "result", "duplicate"},
+      {&IngestStats::sketch_rejected, "sketch_rejected",
+       "ldpids_ingest_reports_total", "result", "sketch_rejected"},
+  };
+  IngestStats& operator+=(const IngestStats& other) {
+    return obs::AddCounters(*this, other);
+  }
+  std::string ToString() const { return obs::CountersToString(*this); }
 };
 
 // One shard: a defensive decoder in front of a FoSketch. Single-threaded.
@@ -121,16 +139,13 @@ class IngestShard {
 };
 
 // Wall-clock nanoseconds the router's batch path spent in each internal
-// stage, accumulated across one round's IngestBatch calls (and the merge
-// at Close). Only filled after EnableStageTiming(): an unobserved router
-// pays zero clock reads. The session layer turns these into the
-// `ldpids_stage_duration_ns{stage=arena_decode|shard_fold|merge}`
-// histograms (obs/stage_trace.h) — plain integers here keep this header
-// free of obs dependencies.
+// stage, accumulated across one round's IngestBatch calls. Only filled
+// after EnableStageTiming(): an unobserved router pays zero clock reads.
+// AggregatorNode turns these into the arena_decode / shard_fold stage
+// windows (obs/stage_trace.h).
 struct RouterStageNanos {
   uint64_t arena_decode = 0;  // packets -> columnar rows (incl. checksums)
   uint64_t shard_fold = 0;    // nonce partition + per-shard dedup/fold
-  uint64_t merge = 0;         // shard sketch reduce at Close
 };
 
 // Routes one round's packets across K shards and shard-reduces at close.

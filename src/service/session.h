@@ -36,17 +36,8 @@
 #include "fo/frequency_oracle.h"
 #include "fo/sketch_wire.h"
 #include "fo/wire.h"
+#include "obs/stage_trace.h"
 #include "service/ingest.h"
-
-namespace ldpids::obs {
-class MetricsRegistry;
-class Counter;
-class StageSet;
-class IngestStatsFeed;
-class ArenaDecodeStatsFeed;
-class SketchMergeStatsFeed;
-class FlightRecorder;
-}  // namespace ldpids::obs
 
 namespace ldpids::service {
 
@@ -97,7 +88,7 @@ struct SplitRoundTransport {
 };
 
 // Everything the ingest/estimate seam hands across for one round: the
-// round's resolved sketch plus acceptance accounting and stage timing.
+// round's resolved sketch plus acceptance accounting and stage windows.
 // Produced by a RoundSource — an AggregatorNode's local sharded ingestion,
 // or a RootSession's partial-sketch merge — and consumed strictly on the
 // session thread (stats accumulation, stage recording, EstimateInto).
@@ -109,26 +100,22 @@ struct RoundOutcome {
   // (merged/malformed/params_mismatch/duplicate_node/missing, see
   // fo/sketch_wire.h). Zero-valued for local-ingest sources.
   SketchMergeStats sketch_merges;
-  RouterStageNanos router_ns;      // arena decode / shard fold / merge
-  uint64_t transport_ns = 0;       // wall time waiting on the transport
-  uint64_t sketch_merge_ns = 0;    // root partial-merge wall time
-  // Absolute steady-clock windows for the flight recorder (0 when the
-  // round was not timed).
-  uint64_t ingest_start_ns = 0;    // transport call wall window
-  uint64_t ingest_end_ns = 0;
-  uint64_t merge_start_ns = 0;     // router Close (shard merge) window
-  uint64_t merge_end_ns = 0;
-  uint64_t sketch_merge_start_ns = 0;  // root partial-merge window
-  uint64_t sketch_merge_end_ns = 0;
+  // Wall window of each stage the source ran, indexed by obs::Stage; the
+  // session records every filled one (obs::StageSink).
+  obs::StageWindow stages[obs::kNumStages];
+
+  obs::StageWindow& window(obs::Stage stage) {
+    return stages[static_cast<std::size_t>(stage)];
+  }
 };
 
 // The generalized ingest half of one round: fills `*out` with the round's
 // sketch and accounting (never leaving *out partially filled on throw —
 // the session discards it wholesale). `timed` requests stage timing; the
-// source may skip all *_ns fields when it is false. Runs inside Advance()
-// — or, when the session is pipelined, on the session's ingest worker
-// thread, so a source must not share unsynchronized mutable state with
-// the announce half of other rounds.
+// source may leave every stage window unfilled when it is false. Runs
+// inside Advance() — or, when the session is pipelined, on the session's
+// ingest worker thread, so a source must not share unsynchronized mutable
+// state with the announce half of other rounds.
 using RoundSource =
     std::function<void(const RoundRequest&, bool timed, RoundOutcome*)>;
 
@@ -191,8 +178,8 @@ class MechanismSession {
   // instead of local sharded ingestion — this is how a RootSession swaps
   // the ingest half for a partial-sketch merge while the estimate /
   // post-process / mechanism side runs untouched. The session assumes the
-  // source merges partial sketches and records the kSketchMerge stage and
-  // sketch_merge_stats() from the outcomes it returns.
+  // source merges partial sketches and exports sketch_merge_stats() from
+  // the outcomes it returns.
   MechanismSession(std::unique_ptr<StreamMechanism> mechanism,
                    std::size_t domain, SessionOptions options,
                    RoundAnnounce announce, RoundSource source);
@@ -265,8 +252,8 @@ class MechanismSession {
   std::unique_ptr<AggregatorNode> aggregator_;
   RoundAnnounce announce_;  // may be null (opaque-transport sessions)
   RoundSource source_;
-  // True when source_ merges partial sketches (the RoundSource ctor):
-  // enables kSketchMerge stage recording and sketch_merges_ accounting.
+  // True when source_ merges partial sketches (the RoundSource ctor): the
+  // session then exports the ldpids_sketch_merge_* counters.
   bool merge_source_ = false;
   SessionOptions options_;
   std::size_t next_t_ = 0;
@@ -275,22 +262,17 @@ class MechanismSession {
   IngestStats stats_;
   SketchMergeStats sketch_merges_;
 
-  // Observability (all null when SessionOptions::metrics is). Stage
-  // recording and feed publication happen on the session thread only (the
-  // ingest worker hands timing back through the RoundJob done-handshake),
-  // so per-session instrumentation needs no locking of its own.
-  std::unique_ptr<obs::StageSet> stages_;
-  std::unique_ptr<obs::IngestStatsFeed> ingest_feed_;
-  std::unique_ptr<obs::ArenaDecodeStatsFeed> arena_feed_;
-  std::unique_ptr<obs::SketchMergeStatsFeed> sketch_merge_feed_;
+  // Observability. Stage records and feed publication happen on the
+  // session thread only (the ingest worker hands its stage windows back
+  // through the RoundJob done-handshake); the worker touches only the
+  // recorder's in-flight marks, which are lock-free. Feeds and counters
+  // are null when SessionOptions::metrics is.
+  obs::StageSink stages_;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> ingest_feed_;
+  std::unique_ptr<obs::StatsFeed<ArenaDecodeStats>> arena_feed_;
+  std::unique_ptr<obs::StatsFeed<SketchMergeStats>> sketch_merge_feed_;
   obs::Counter* rounds_counter_ = nullptr;
   obs::Counter* advances_counter_ = nullptr;
-  // Flight-recorder attachment (null when SessionOptions::recorder is).
-  // Event recording happens on the session thread after the done
-  // handshake; only the in-flight begin/end marks are touched from the
-  // ingest worker (the recorder is lock-free and thread-safe).
-  obs::FlightRecorder* recorder_ = nullptr;
-  uint32_t track_ = 0;
 };
 
 }  // namespace ldpids::service

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/stats_feed.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace ldpids::service {
@@ -27,7 +27,7 @@ void StreamServer::AttachMetrics(obs::MetricsRegistry* registry) {
   advances_counter_ = &registry->GetCounter("ldpids_server_advances_total");
   advance_hist_ =
       &registry->GetHistogram("ldpids_server_advance_duration_ns");
-  fleet_feed_ = std::make_unique<obs::IngestStatsFeed>(
+  fleet_feed_ = std::make_unique<obs::StatsFeed<IngestStats>>(
       registry, obs::Labels{{"scope", "fleet"}});
   sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
 }

@@ -29,14 +29,6 @@
 #include "core/mechanism.h"
 #include "service/session.h"
 
-namespace ldpids::obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-class Histogram;
-class IngestStatsFeed;
-}  // namespace ldpids::obs
-
 namespace ldpids::service {
 
 class StreamServer {
@@ -85,7 +77,7 @@ class StreamServer {
   obs::Gauge* sessions_gauge_ = nullptr;
   obs::Counter* advances_counter_ = nullptr;
   obs::Histogram* advance_hist_ = nullptr;
-  std::unique_ptr<obs::IngestStatsFeed> fleet_feed_;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> fleet_feed_;
 };
 
 }  // namespace ldpids::service

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -302,46 +301,6 @@ bool FrameDecoder::Next(Frame* out) {
     ++stats_.skipped_bytes;
   }
   return false;
-}
-
-FrameStats& FrameStats::operator+=(const FrameStats& other) {
-  frames += other.frames;
-  data_frames += other.data_frames;
-  end_round_frames += other.end_round_frames;
-  partial_sketch_frames += other.partial_sketch_frames;
-  bytes += other.bytes;
-  bad_magic += other.bad_magic;
-  bad_version += other.bad_version;
-  bad_kind += other.bad_kind;
-  oversize += other.oversize;
-  checksum_mismatch += other.checksum_mismatch;
-  bad_control += other.bad_control;
-  skipped_bytes += other.skipped_bytes;
-  return *this;
-}
-
-std::string FrameStats::ToString() const {
-  char buf[240];
-  std::snprintf(
-      buf, sizeof(buf),
-      "frames=%llu (data=%llu end_round=%llu partial_sketch=%llu) "
-      "bytes=%llu errors=%llu "
-      "(magic=%llu version=%llu kind=%llu oversize=%llu checksum=%llu "
-      "control=%llu) skipped_bytes=%llu",
-      static_cast<unsigned long long>(frames),
-      static_cast<unsigned long long>(data_frames),
-      static_cast<unsigned long long>(end_round_frames),
-      static_cast<unsigned long long>(partial_sketch_frames),
-      static_cast<unsigned long long>(bytes),
-      static_cast<unsigned long long>(errors()),
-      static_cast<unsigned long long>(bad_magic),
-      static_cast<unsigned long long>(bad_version),
-      static_cast<unsigned long long>(bad_kind),
-      static_cast<unsigned long long>(oversize),
-      static_cast<unsigned long long>(checksum_mismatch),
-      static_cast<unsigned long long>(bad_control),
-      static_cast<unsigned long long>(skipped_bytes));
-  return buf;
 }
 
 }  // namespace ldpids::transport

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/counter_table.h"
 #include "util/buffer_pool.h"
 
 namespace ldpids::transport {
@@ -135,8 +136,35 @@ struct FrameStats {
   // Every decode outcome: delivered frames plus resync skips by reason
   // (aggregation parity with the service-side stats structs).
   uint64_t total() const { return frames + errors(); }
-  FrameStats& operator+=(const FrameStats& other);
-  std::string ToString() const;
+
+  static constexpr obs::CounterRow<FrameStats> kCounters[] = {
+      {&FrameStats::frames, "frames", "ldpids_frame_frames_total"},
+      {&FrameStats::data_frames, "data_frames",
+       "ldpids_frame_data_frames_total"},
+      {&FrameStats::end_round_frames, "end_round_frames",
+       "ldpids_frame_end_round_frames_total"},
+      {&FrameStats::partial_sketch_frames, "partial_sketch_frames",
+       "ldpids_frame_partial_sketch_frames_total"},
+      {&FrameStats::bytes, "bytes", "ldpids_frame_bytes_total"},
+      {&FrameStats::bad_magic, "bad_magic", "ldpids_frame_errors_total",
+       "reason", "bad_magic"},
+      {&FrameStats::bad_version, "bad_version", "ldpids_frame_errors_total",
+       "reason", "bad_version"},
+      {&FrameStats::bad_kind, "bad_kind", "ldpids_frame_errors_total",
+       "reason", "bad_kind"},
+      {&FrameStats::oversize, "oversize", "ldpids_frame_errors_total",
+       "reason", "oversize"},
+      {&FrameStats::checksum_mismatch, "checksum_mismatch",
+       "ldpids_frame_errors_total", "reason", "checksum_mismatch"},
+      {&FrameStats::bad_control, "bad_control", "ldpids_frame_errors_total",
+       "reason", "bad_control"},
+      {&FrameStats::skipped_bytes, "skipped_bytes",
+       "ldpids_frame_skipped_bytes_total"},
+  };
+  FrameStats& operator+=(const FrameStats& other) {
+    return obs::AddCounters(*this, other);
+  }
+  std::string ToString() const { return obs::CountersToString(*this); }
 };
 
 // Incremental frame reassembly over a byte stream. Feed it whatever the

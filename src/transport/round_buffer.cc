@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -13,7 +12,7 @@
 
 #include "fo/sketch_wire.h"
 #include "fo/wire.h"
-#include "obs/stats_feed.h"
+#include "obs/metrics.h"
 #include "service/ingest.h"
 
 namespace ldpids::transport {
@@ -27,41 +26,6 @@ const char* DeliverResultName(DeliverResult result) {
     case DeliverResult::kTooEarly: return "too early";
   }
   return "?";
-}
-
-RoundBufferStats& RoundBufferStats::operator+=(const RoundBufferStats& other) {
-  buffered += other.buffered;
-  end_markers += other.end_markers;
-  closed_round_drops += other.closed_round_drops;
-  too_late_drops += other.too_late_drops;
-  too_early_drops += other.too_early_drops;
-  rounds_drained += other.rounds_drained;
-  packets_drained += other.packets_drained;
-  deadline_flushes += other.deadline_flushes;
-  duplicate_frames += other.duplicate_frames;
-  masked_losses += other.masked_losses;
-  return *this;
-}
-
-std::string RoundBufferStats::ToString() const {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "buffered=%llu markers=%llu drained=%llu/%llu dropped=%llu "
-      "(closed=%llu late=%llu early=%llu) duplicates=%llu "
-      "deadline_flushes=%llu masked_losses=%llu",
-      static_cast<unsigned long long>(buffered),
-      static_cast<unsigned long long>(end_markers),
-      static_cast<unsigned long long>(packets_drained),
-      static_cast<unsigned long long>(rounds_drained),
-      static_cast<unsigned long long>(dropped()),
-      static_cast<unsigned long long>(closed_round_drops),
-      static_cast<unsigned long long>(too_late_drops),
-      static_cast<unsigned long long>(too_early_drops),
-      static_cast<unsigned long long>(duplicate_frames),
-      static_cast<unsigned long long>(deadline_flushes),
-      static_cast<unsigned long long>(masked_losses));
-  return buf;
 }
 
 uint64_t PacketIdentity(const uint8_t* data, std::size_t size) {
@@ -96,15 +60,15 @@ uint64_t PacketIdentity(const uint8_t* data, std::size_t size) {
 
 RoundBuffer::RoundBuffer(RoundBufferOptions options) : options_(options) {}
 
-RoundBuffer::~RoundBuffer() = default;
-
 void RoundBuffer::AttachMetrics(obs::MetricsRegistry* registry,
                                 const std::string& label) {
   obs::Labels labels;
   if (!label.empty()) labels.emplace_back("session", label);
   std::lock_guard<std::mutex> lock(mu_);
   metrics_feed_ =
-      std::make_unique<obs::RoundBufferStatsFeed>(registry, labels);
+      std::make_unique<obs::StatsFeed<RoundBufferStats>>(registry, labels);
+  pending_gauge_ =
+      &registry->GetGauge("ldpids_roundbuf_pending_rounds", labels);
 }
 
 DeliverResult RoundBuffer::Deliver(Frame&& frame) {
@@ -182,7 +146,7 @@ std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
     // Once per drained round, still under mu_: per-frame delivery stays
     // untouched and only the draining side pays the publication.
     metrics_feed_->Publish(stats_);
-    metrics_feed_->SetPending(pending_.size());
+    pending_gauge_->Set(static_cast<int64_t>(pending_.size()));
   }
   return packets;
 }

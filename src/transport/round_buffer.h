@@ -70,13 +70,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/counter_table.h"
 #include "service/session.h"
 #include "transport/frame.h"
-
-namespace ldpids::obs {
-class MetricsRegistry;
-class RoundBufferStatsFeed;
-}  // namespace ldpids::obs
 
 namespace ldpids::transport {
 
@@ -124,14 +120,38 @@ struct RoundBufferStats {
   // buffered / end_markers / dropped() (duplicate_frames is a subset of
   // buffered, masked_losses of deadline_flushes — neither adds here).
   uint64_t total() const { return buffered + end_markers + dropped(); }
-  RoundBufferStats& operator+=(const RoundBufferStats& other);
-  std::string ToString() const;
+
+  static constexpr obs::CounterRow<RoundBufferStats> kCounters[] = {
+      {&RoundBufferStats::buffered, "buffered",
+       "ldpids_roundbuf_buffered_total"},
+      {&RoundBufferStats::end_markers, "end_markers",
+       "ldpids_roundbuf_end_markers_total"},
+      {&RoundBufferStats::closed_round_drops, "closed_round_drops",
+       "ldpids_roundbuf_drops_total", "reason", "closed_round"},
+      {&RoundBufferStats::too_late_drops, "too_late_drops",
+       "ldpids_roundbuf_drops_total", "reason", "too_late"},
+      {&RoundBufferStats::too_early_drops, "too_early_drops",
+       "ldpids_roundbuf_drops_total", "reason", "too_early"},
+      {&RoundBufferStats::rounds_drained, "rounds_drained",
+       "ldpids_roundbuf_rounds_drained_total"},
+      {&RoundBufferStats::packets_drained, "packets_drained",
+       "ldpids_roundbuf_packets_drained_total"},
+      {&RoundBufferStats::deadline_flushes, "deadline_flushes",
+       "ldpids_roundbuf_deadline_flushes_total"},
+      {&RoundBufferStats::duplicate_frames, "duplicate_frames",
+       "ldpids_roundbuf_duplicate_frames_total"},
+      {&RoundBufferStats::masked_losses, "masked_losses",
+       "ldpids_roundbuf_masked_losses_total"},
+  };
+  RoundBufferStats& operator+=(const RoundBufferStats& other) {
+    return obs::AddCounters(*this, other);
+  }
+  std::string ToString() const { return obs::CountersToString(*this); }
 };
 
 class RoundBuffer {
  public:
   explicit RoundBuffer(RoundBufferOptions options = {});
-  ~RoundBuffer();
 
   // Observability (optional): publishes this buffer's cumulative stats to
   // the canonical ldpids_roundbuf_* metrics — labeled {session=label}
@@ -185,7 +205,8 @@ class RoundBuffer {
   uint64_t newest_round_ = 0;   // highest round ever seen (admission clock)
   RoundBufferStats stats_;
   // Written under mu_ from the draining (session) side only.
-  std::unique_ptr<obs::RoundBufferStatsFeed> metrics_feed_;
+  std::unique_ptr<obs::StatsFeed<RoundBufferStats>> metrics_feed_;
+  obs::Gauge* pending_gauge_ = nullptr;
 };
 
 // Routes frames to per-session RoundBuffers by Frame::session_id: one

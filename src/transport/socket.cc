@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "obs/stage_trace.h"
-#include "obs/stats_feed.h"
 #include "transport/socket_util.h"
 
 namespace ldpids::transport {
@@ -46,7 +45,7 @@ void SocketListener::AttachMetrics(obs::MetricsRegistry* registry,
   decode_hist_ =
       &registry->GetHistogram(obs::kStageDurationMetric, labels);
   metrics_feed_ =
-      std::make_unique<obs::FrameStatsFeed>(registry, feed_labels);
+      std::make_unique<obs::StatsFeed<FrameStats>>(registry, feed_labels);
 }
 
 void SocketListener::AcceptLoop() {

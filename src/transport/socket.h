@@ -26,13 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "transport/frame.h"
-
-namespace ldpids::obs {
-class MetricsRegistry;
-class Histogram;
-class FrameStatsFeed;
-}  // namespace ldpids::obs
 
 namespace ldpids::transport {
 
@@ -89,7 +84,7 @@ class SocketListener {
   // from reader threads (Observe is lock-free); the feed is only touched
   // at connection close, under mu_.
   obs::Histogram* decode_hist_ = nullptr;
-  std::unique_ptr<obs::FrameStatsFeed> metrics_feed_;
+  std::unique_ptr<obs::StatsFeed<FrameStats>> metrics_feed_;
 };
 
 class SocketClient : public FrameSender {

@@ -1,8 +1,10 @@
 // src/obs/ unit tests: counter/gauge/histogram semantics, log2 bucket
 // boundaries, concurrent-increment exactness, snapshot isolation, the
-// stats-struct feeds, and golden exposition output for both exporters.
+// table-driven stats feeds, and golden exposition output for both
+// exporters.
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "fo/report_arena.h"
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
-#include "obs/stats_feed.h"
+#include "service/ingest.h"
+#include "transport/frame.h"
+#include "transport/round_buffer.h"
 
 namespace ldpids::obs {
 namespace {
@@ -242,26 +248,45 @@ TEST(ExportTest, SnapshotsCarryOrderableTimestampAndSequence) {
   EXPECT_NE(json.find(",\"seq\":1,"), std::string::npos);
 }
 
-TEST(StageTraceTest, NullStageSetIsInertAndTimerRecords) {
-  StageSet inert;
+TEST(StageTraceTest, InertSinkAndOneRecordFeedsBothConsumers) {
+  const StageSink inert;
   EXPECT_FALSE(inert.enabled());
-  inert.Record(Stage::kMerge, 123);  // must not crash
+  inert.Record(Stage::kMerge, 0, {100, 223});  // must not crash
+  inert.Begin(Stage::kMerge, 0);
+  inert.Close();
 
   MetricsRegistry registry;
-  StageSet stages(&registry, "s0");
+  FlightRecorder recorder;
+  const StageSink stages(&registry, &recorder, "s0");
   EXPECT_TRUE(stages.enabled());
-  { StageTimer timer(&stages, Stage::kEstimate); }
-  stages.Record(Stage::kMerge, 77);
+  stages.Record(Stage::kMerge, 4, {1000, 1077}, 9, 1);
+  stages.Observe(Stage::kEstimate, {5, 5});
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.histograms.size(), kNumStages);
   const HistogramSample* estimate = snap.FindHistogram(
       kStageDurationMetric, {{"stage", "estimate"}, {"session", "s0"}});
   ASSERT_NE(estimate, nullptr);
   EXPECT_EQ(estimate->count, 1u);
+  EXPECT_EQ(estimate->sum, 0u);
   const HistogramSample* merge = snap.FindHistogram(
       kStageDurationMetric, {{"stage", "merge"}, {"session", "s0"}});
   ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->count, 1u);
   EXPECT_EQ(merge->sum, 77u);
+
+  // The same window reached the recorder; Observe alone did not.
+  const FlightRecorderSnapshot trace = recorder.Snapshot();
+  ASSERT_EQ(trace.tracks.size(), 1u);
+  EXPECT_EQ(trace.tracks[0], "s0");
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].stage, Stage::kMerge);
+  EXPECT_EQ(trace.events[0].round_index, 4u);
+  EXPECT_EQ(trace.events[0].t_start_ns, 1000u);
+  EXPECT_EQ(trace.events[0].t_end_ns, 1077u);
+  EXPECT_EQ(trace.events[0].reports, 9u);
+  EXPECT_EQ(trace.events[0].drops, 1u);
+  stages.Close();
+  EXPECT_TRUE(recorder.Snapshot().closed[0]);
 }
 
 TEST(StageTraceTest, StageNamesAreCanonical) {
@@ -271,13 +296,14 @@ TEST(StageTraceTest, StageNamesAreCanonical) {
   EXPECT_STREQ(StageName(Stage::kArenaDecode), "arena_decode");
   EXPECT_STREQ(StageName(Stage::kShardFold), "shard_fold");
   EXPECT_STREQ(StageName(Stage::kMerge), "merge");
+  EXPECT_STREQ(StageName(Stage::kSketchMerge), "sketch_merge");
   EXPECT_STREQ(StageName(Stage::kEstimate), "estimate");
   EXPECT_STREQ(StageName(Stage::kPostProcess), "post_process");
 }
 
 TEST(StatsFeedTest, FrameFeedAddAndIdempotentPublish) {
   MetricsRegistry registry;
-  FrameStatsFeed feed(&registry, {{"session", "t"}});
+  StatsFeed<transport::FrameStats> feed(&registry, {{"session", "t"}});
   transport::FrameStats s;
   s.frames = 10;
   s.data_frames = 9;
@@ -311,7 +337,7 @@ TEST(StatsFeedTest, FrameFeedAddAndIdempotentPublish) {
 
 TEST(StatsFeedTest, IngestFeedResultLabels) {
   MetricsRegistry registry;
-  IngestStatsFeed feed(&registry);
+  StatsFeed<service::IngestStats> feed(&registry);
   service::IngestStats s;
   s.accepted = 100;
   s.duplicate = 4;
@@ -333,9 +359,9 @@ TEST(StatsFeedTest, IngestFeedResultLabels) {
             0u);
 }
 
-TEST(StatsFeedTest, RoundBufferFeedPendingGaugeAndDropReasons) {
+TEST(StatsFeedTest, RoundBufferFeedDropReasons) {
   MetricsRegistry registry;
-  RoundBufferStatsFeed feed(&registry, {{"session", "rb"}});
+  StatsFeed<transport::RoundBufferStats> feed(&registry, {{"session", "rb"}});
   transport::RoundBufferStats s;
   s.buffered = 50;
   s.end_markers = 2;
@@ -343,7 +369,6 @@ TEST(StatsFeedTest, RoundBufferFeedPendingGaugeAndDropReasons) {
   s.rounds_drained = 2;
   s.packets_drained = 47;
   feed.Publish(s);
-  feed.SetPending(5);
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.FindCounter("ldpids_roundbuf_buffered_total",
                              {{"session", "rb"}})
@@ -353,9 +378,56 @@ TEST(StatsFeedTest, RoundBufferFeedPendingGaugeAndDropReasons) {
                              {{"session", "rb"}, {"reason", "closed_round"}})
                 ->value,
             3u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].name, "ldpids_roundbuf_pending_rounds");
-  EXPECT_EQ(snap.gauges[0].value, 5);
+  EXPECT_EQ(snap.counters.size(),
+            std::size(transport::RoundBufferStats::kCounters));
+  EXPECT_TRUE(snap.gauges.empty());
+}
+
+TEST(StatsFeedTest, ArenaWireErrorsLabeledByNameSkippingOk) {
+  MetricsRegistry registry;
+  StatsFeed<ArenaDecodeStats> feed(&registry);
+  ArenaDecodeStats s;
+  s.decoded = 7;
+  s.malformed = 3;
+  s.wire_errors[static_cast<std::size_t>(WireError::kChecksumMismatch)] = 3;
+  feed.Add(s);
+  const MetricsSnapshot snap = registry.Snapshot();
+  // 4 scalar rows plus one wire-error series per reason, kOk excluded.
+  EXPECT_EQ(snap.counters.size(), 4 + kWireErrorCount - 1);
+  EXPECT_EQ(snap.FindCounter("ldpids_arena_decoded_total")->value, 7u);
+  EXPECT_EQ(snap.FindCounter("ldpids_arena_wire_errors_total",
+                             {{"reason", WireErrorName(
+                                             WireError::kChecksumMismatch)}})
+                ->value,
+            3u);
+  EXPECT_EQ(snap.FindCounter("ldpids_arena_wire_errors_total",
+                             {{"reason", WireErrorName(WireError::kOk)}}),
+            nullptr);
+}
+
+// operator+= and ToString come from the same descriptor table, including
+// the irregular array rows.
+TEST(CounterTableTest, SumAndPrintAreTableDriven) {
+  ArenaDecodeStats a;
+  a.decoded = 2;
+  a.wire_errors[3] = 1;
+  ArenaDecodeStats b;
+  b.decoded = 5;
+  b.wrong_oracle = 1;
+  b.wire_errors[3] = 2;
+  a += b;
+  EXPECT_EQ(a.decoded, 7u);
+  EXPECT_EQ(a.wrong_oracle, 1u);
+  EXPECT_EQ(a.wire_errors[3], 3u);
+  EXPECT_EQ(a.ToString(),
+            "decoded=7 malformed=0 wrong_oracle=1 wrong_timestamp=0");
+
+  service::IngestStats ingest;
+  ingest.accepted = 4;
+  ingest.duplicate = 1;
+  EXPECT_EQ(ingest.ToString(),
+            "accepted=4 malformed=0 wrong_oracle=0 wrong_timestamp=0 "
+            "duplicate=1 sketch_rejected=0");
 }
 
 }  // namespace
