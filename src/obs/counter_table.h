@@ -70,6 +70,14 @@ S& AddCounters(S& into, const S& other) {
   return into;
 }
 
+// Counter-wise `current - last`: the delta a publisher of cumulative stats
+// adds to the registry since its previous publication.
+template <typename S>
+S CounterDelta(S current, const S& last) {
+  ForEachCounter<S>([&](auto at, auto&&...) { at(current) -= at(last); });
+  return current;
+}
+
 // "key=value key=value ..." over the scalar rows, in table order.
 template <typename S>
 std::string CountersToString(const S& s) {

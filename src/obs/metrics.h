@@ -238,9 +238,7 @@ class StatsFeed {
   }
 
   void Publish(const S& current) {
-    S delta = current;
-    ForEachCounter<S>([&](auto at, auto&&...) { at(delta) -= at(last_); });
-    Add(delta);
+    Add(CounterDelta(current, last_));
     last_ = current;
   }
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "util/histogram.h"
+#include "util/rng.h"
 
 namespace ldpids::service {
 
@@ -101,17 +102,6 @@ void AggregatorNode::RunRoundUpstream(const RoundRequest& request,
 
 // --- UserAssignment -------------------------------------------------------
 
-namespace {
-
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 UserAssignment::UserAssignment(std::size_t num_nodes, uint64_t num_users,
                                AssignMode mode, uint64_t salt)
     : num_nodes_(num_nodes), num_users_(num_users), mode_(mode), salt_(salt) {
@@ -125,7 +115,7 @@ UserAssignment::UserAssignment(std::size_t num_nodes, uint64_t num_users,
 
 std::size_t UserAssignment::NodeOf(uint32_t user) const {
   if (mode_ == AssignMode::kStableHash) {
-    return static_cast<std::size_t>(SplitMix64(user ^ salt_) % num_nodes_);
+    return static_cast<std::size_t>(Mix64(user ^ salt_) % num_nodes_);
   }
   // Range: u128-free balanced split — user/num_users scaled to num_nodes.
   // num_nodes * user cannot overflow: user < 2^32 and realistic fan-ins

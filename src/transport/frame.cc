@@ -165,6 +165,7 @@ FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
 }
 
 void FrameDecoder::Append(const uint8_t* data, std::size_t size) {
+  if (size == 0) return;  // an empty vector's data() may be null
   std::memcpy(Reserve(size), data, size);
   Commit(size);
 }

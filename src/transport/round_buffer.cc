@@ -1,5 +1,7 @@
 #include "transport/round_buffer.h"
 
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -7,13 +9,14 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <unordered_set>
 #include <vector>
 
 #include "fo/sketch_wire.h"
 #include "fo/wire.h"
 #include "obs/metrics.h"
 #include "service/ingest.h"
+#include "util/rng.h"
+#include "util/u64_set.h"
 
 namespace ldpids::transport {
 
@@ -41,12 +44,9 @@ uint64_t PacketIdentity(const uint8_t* data, std::size_t size) {
     // Partial-sketch payload: the emitting aggregator is the identity, so
     // a node's re-sent partial counts once toward completion while two
     // nodes' byte-identical partials (e.g. zero-report rounds) stay
-    // distinct. SplitMix-step the id so small node indexes cannot collide
-    // with small user nonces in a buffer that sees both kinds.
-    uint64_t z = node_id + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    // distinct. Mix the id so small node indexes cannot collide with small
+    // user nonces in a buffer that sees both kinds.
+    return Mix64(node_id);
   }
   // Too mangled to carry a nonce: fall back to the raw bytes (FNV-1a).
   // Byte-identical re-deliveries still collapse; distinct corrupted
@@ -57,6 +57,27 @@ uint64_t PacketIdentity(const uint8_t* data, std::size_t size) {
   }
   return hash;
 }
+
+namespace {
+
+// The calling thread's staging lane index, assigned round-robin at the
+// thread's first delivery and shared by every RoundBuffer, so connection
+// churn never grows per-buffer state.
+std::size_t ThisThreadLane(std::size_t lanes) {
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local const std::size_t index =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return index % lanes;
+}
+
+void RaiseTo(std::atomic<uint64_t>& watermark, uint64_t value) {
+  uint64_t current = watermark.load(std::memory_order_relaxed);
+  while (value > current &&
+         !watermark.compare_exchange_weak(current, value)) {
+  }
+}
+
+}  // namespace
 
 RoundBuffer::RoundBuffer(RoundBufferOptions options) : options_(options) {}
 
@@ -71,65 +92,134 @@ void RoundBuffer::AttachMetrics(obs::MetricsRegistry* registry,
       &registry->GetGauge("ldpids_roundbuf_pending_rounds", labels);
 }
 
-DeliverResult RoundBuffer::Deliver(Frame&& frame) {
-  const uint64_t round = frame.timestamp;
-  // The identity depends only on the frame bytes — hash before taking the
-  // lock so concurrent transport readers don't serialize on an O(payload)
-  // scan (a wasted hash on the rare dropped frame is the cheaper side).
-  const uint64_t identity =
-      frame.kind != FrameKind::kEndRound
-          ? PacketIdentity(frame.payload.data(), frame.payload.size())
-          : 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (round < next_round_) {
-    ++stats_.closed_round_drops;
-    return DeliverResult::kClosedRound;
+bool RoundBuffer::TryStage(uint64_t round, uint64_t identity,
+                           PayloadRef& payload) {
+  const std::size_t index = ThisThreadLane(kLanes);
+  Lane& lane = lanes_[index];
+  std::lock_guard<std::mutex> lock(lane.mu);
+  // Flag the lane before reading the watermarks (all seq_cst): a merge
+  // that clears this flag after our read collects this frame, one that
+  // cleared it before follows the watermark store it merges for — a drain
+  // or a marker — so the reads below see that store.
+  if (lane.frames.empty()) staged_lanes_.fetch_or(uint32_t{1} << index);
+  if (round < marker_floor_.load() ||
+      Watermark(round) != DeliverResult::kBuffered) {
+    return false;
   }
-  if (round + options_.max_lateness < newest_round_) {
-    ++stats_.too_late_drops;
+  RaiseTo(newest_round_, round);
+  lane.frames.push_back({round, identity, std::move(payload)});
+  return true;
+}
+
+DeliverResult RoundBuffer::Watermark(uint64_t round) const {
+  const uint64_t next = next_round_.load();
+  if (round < next) return DeliverResult::kClosedRound;
+  if (round + options_.max_lateness < newest_round_.load()) {
     return DeliverResult::kTooLate;
   }
-  if (round >= next_round_ + options_.max_buffered_rounds) {
-    ++stats_.too_early_drops;
+  if (round >= next + options_.max_buffered_rounds) {
     return DeliverResult::kTooEarly;
   }
-  // Only an *admitted* frame advances the lateness clock — a single forged
-  // far-future round index must not poison the watermark and starve every
-  // legitimate round behind it.
-  if (round > newest_round_) newest_round_ = round;
+  return DeliverResult::kBuffered;
+}
+
+DeliverResult RoundBuffer::AdmitLocked(uint64_t round) {
+  const DeliverResult verdict = Watermark(round);
+  switch (verdict) {
+    case DeliverResult::kClosedRound: ++stats_.closed_round_drops; break;
+    case DeliverResult::kTooLate: ++stats_.too_late_drops; break;
+    case DeliverResult::kTooEarly: ++stats_.too_early_drops; break;
+    default:
+      // Only an *admitted* frame advances the lateness clock — a single
+      // forged far-future round index must not poison the watermark and
+      // starve every legitimate round behind it.
+      RaiseTo(newest_round_, round);
+  }
+  return verdict;
+}
+
+RoundBuffer::PendingRound& RoundBuffer::BufferLocked(
+    uint64_t round, uint64_t identity, PayloadRef&& payload) const {
   PendingRound& pending = pending_[round];
-  if (frame.kind == FrameKind::kEndRound) {
-    ++stats_.end_markers;
-    if (!pending.marker_seen) {
-      pending.marker_seen = true;
-      pending.expected = EndRoundExpected(frame);
-    }
-    if (Complete(pending)) complete_cv_.notify_all();
-    return DeliverResult::kEndMarker;
-  }
-  if (!pending.identities.insert(identity).second) {
-    ++stats_.duplicate_frames;
-  }
+  if (!pending.identities.Insert(identity)) ++stats_.duplicate_frames;
   // Duplicates are still buffered — the ingest edge owns exact per-round
   // duplicate rejection (by nonce) and its acceptance accounting — but
   // only the first copy advanced the completion count above.
-  pending.packets.push_back(std::move(frame.payload));
+  pending.packets.push_back(std::move(payload));
   ++stats_.buffered;
+  return pending;
+}
+
+void RoundBuffer::MergeLocked() const {
+  if (staged_lanes_.load() == 0) return;
+  uint32_t staged = staged_lanes_.exchange(0);
+  while (staged != 0) {
+    Lane& lane = lanes_[std::countr_zero(staged)];
+    staged &= staged - 1;
+    {
+      std::lock_guard<std::mutex> lock(lane.mu);
+      merge_scratch_.swap(lane.frames);
+    }
+    for (Staged& frame : merge_scratch_) {
+      BufferLocked(frame.round, frame.identity, std::move(frame.payload));
+    }
+    merge_scratch_.clear();
+  }
+}
+
+DeliverResult RoundBuffer::Deliver(Frame&& frame) {
+  const uint64_t round = frame.timestamp;
+  if (frame.kind != FrameKind::kEndRound) {
+    // The identity depends only on the frame bytes: hash before any lock.
+    const uint64_t identity =
+        PacketIdentity(frame.payload.data(), frame.payload.size());
+    if (TryStage(round, identity, frame.payload)) {
+      return DeliverResult::kBuffered;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    MergeLocked();
+    const DeliverResult admitted = AdmitLocked(round);
+    if (admitted != DeliverResult::kBuffered) return admitted;
+    if (Complete(BufferLocked(round, identity, std::move(frame.payload)))) {
+      complete_cv_.notify_all();
+    }
+    return DeliverResult::kBuffered;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const DeliverResult admitted = AdmitLocked(round);
+  if (admitted != DeliverResult::kBuffered) return admitted;
+  // Raise the staging floor, then merge what was staged before it rose:
+  // from here on the round's frames all arrive under mu_.
+  RaiseTo(marker_floor_, round + 1);
+  MergeLocked();
+  ++stats_.end_markers;
+  PendingRound& pending = pending_[round];
+  if (!pending.marker_seen) {
+    pending.marker_seen = true;
+    pending.expected = EndRoundExpected(frame);
+  }
   if (Complete(pending)) complete_cv_.notify_all();
-  return DeliverResult::kBuffered;
+  return DeliverResult::kEndMarker;
 }
 
 std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (round != next_round_) {
+  if (round != next_round_.load()) {
     throw std::logic_error("rounds must be taken strictly in order");
   }
+  // Staged frames never complete a round (see the thread model), so the
+  // predicate needs no merge.
   const bool complete = complete_cv_.wait_for(
       lock, options_.round_deadline,
       [&] { return Complete(pending_[round]); });
+  // Close the round before the final merge: a frame racing this drain was
+  // either staged before the store (and merges now) or reads the round as
+  // closed and becomes a counted kClosedRound drop.
+  next_round_.store(round + 1);
+  MergeLocked();
+  PendingRound& p = pending_[round];
   if (!complete) {
     ++stats_.deadline_flushes;
-    const PendingRound& p = pending_[round];
     if (p.marker_seen && p.packets.size() >= p.expected) {
       // Raw arrivals reached the announced count but distinct ones did
       // not: a duplicate masked a genuine loss. The pre-distinct
@@ -137,9 +227,8 @@ std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
       ++stats_.masked_losses;
     }
   }
-  std::vector<PayloadRef> packets = std::move(pending_[round].packets);
+  std::vector<PayloadRef> packets = std::move(p.packets);
   pending_.erase(round);
-  next_round_ = round + 1;
   ++stats_.rounds_drained;
   stats_.packets_drained += packets.size();
   if (metrics_feed_ != nullptr) {
@@ -151,18 +240,17 @@ std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
   return packets;
 }
 
-uint64_t RoundBuffer::next_round() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_round_;
-}
+uint64_t RoundBuffer::next_round() const { return next_round_.load(); }
 
 std::size_t RoundBuffer::pending_rounds() const {
   std::lock_guard<std::mutex> lock(mu_);
+  MergeLocked();
   return pending_.size();
 }
 
 RoundBufferStats RoundBuffer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
+  MergeLocked();
   return stats_;
 }
 
@@ -170,24 +258,29 @@ void FrameDemux::Register(uint64_t session_id, RoundBuffer* buffer) {
   if (buffer == nullptr) {
     throw std::invalid_argument("demux needs a buffer");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!buffers_.emplace(session_id, buffer).second) {
-    throw std::invalid_argument("session id already registered");
+  std::lock_guard<std::mutex> lock(register_mu_);
+  const std::size_t n = num_routes_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (routes_[i].session_id == session_id) {
+      throw std::invalid_argument("session id already registered");
+    }
   }
+  if (n == kMaxSessions) {
+    throw std::length_error("demux session table is full");
+  }
+  routes_[n] = {session_id, buffer};
+  num_routes_.store(n + 1, std::memory_order_release);
 }
 
 void FrameDemux::Deliver(Frame&& frame) {
-  RoundBuffer* buffer = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = buffers_.find(frame.session_id);
-    if (it == buffers_.end()) {
-      ++unknown_session_drops_;
+  const std::size_t n = num_routes_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (routes_[i].session_id == frame.session_id) {
+      routes_[i].buffer->Deliver(std::move(frame));
       return;
     }
-    buffer = it->second;
   }
-  buffer->Deliver(std::move(frame));
+  unknown_session_drops_.fetch_add(1, std::memory_order_relaxed);
 }
 
 FrameHandler FrameDemux::Handler() {
@@ -195,8 +288,7 @@ FrameHandler FrameDemux::Handler() {
 }
 
 uint64_t FrameDemux::unknown_session_drops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unknown_session_drops_;
+  return unknown_session_drops_.load(std::memory_order_relaxed);
 }
 
 service::RoundTransport MakeBufferedTransport(RoundBuffer& buffer,
@@ -239,11 +331,10 @@ void SendRoundFrames(const std::vector<FrameSender*>& senders,
       throw std::invalid_argument("SendRoundFrames got a null sender");
     }
   }
-  std::unordered_set<uint64_t> identities;
-  identities.reserve(packets.size());
+  U64Set identities;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const std::vector<uint8_t>& packet = packets[i];
-    identities.insert(PacketIdentity(packet.data(), packet.size()));
+    identities.Insert(PacketIdentity(packet.data(), packet.size()));
     senders[i % senders.size()]->Send(
         MakeDataFrame(session_id, round, packet));
   }

@@ -51,13 +51,31 @@
 // PendingRound that could pin memory for a round that will never drain
 // (regression-tested via pending_rounds()).
 //
-// Thread model: Deliver/EndRound are called from transport threads (socket
-// readers, replayers, test drivers); TakeRound blocks the session side on
-// a condition variable. All state is behind one mutex; the hot work
-// (decode, sketch folding) happens outside the buffer.
+// Thread model: Deliver is called from transport threads (socket readers,
+// replayers, test drivers); TakeRound blocks the session side on a
+// condition variable. On its common path a delivering thread writes only
+// its own state (plus a watermark bump once per new round): a data or
+// partial-sketch frame whose round the watermarks admit and whose round
+// has no end marker yet (it is above the highest marker seen) is
+// appended to the delivering thread's staging lane — one of a fixed
+// set of cache-line-aligned lanes, picked by a process-wide thread-local
+// index, each guarded by its own mutex — and counts as kBuffered. Every
+// other frame (markers, frames behind a marker, drops) takes the buffer
+// mutex, first merges the staged lanes into the pending rounds, then runs
+// the admission and completion logic above. Since a staged frame's round
+// has no marker, staging can never complete a round; a marker raises the
+// staging floor before it merges, so by the time it arms completion every
+// staged frame of its round is counted. TakeRound closes its round (the
+// atomic next_round_) before its final merge, so a frame racing the drain
+// is either collected by that merge or reads the round as closed and
+// becomes a counted kClosedRound drop: a kBuffered frame is always
+// returned by its own round's TakeRound. stats() and pending_rounds()
+// merge first, so they are exact at every call. The hot work (decode,
+// sketch folding) happens outside the buffer.
 #ifndef LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 #define LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -67,12 +85,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/counter_table.h"
 #include "service/session.h"
 #include "transport/frame.h"
+#include "util/u64_set.h"
 
 namespace ldpids::transport {
 
@@ -169,7 +187,9 @@ class RoundBuffer {
 
   // Session side. Blocks until round `round` is complete (marker seen and
   // its data-frame count arrived) or options.round_deadline elapses, then
-  // drains and closes the round, returning its packets in arrival order.
+  // drains and closes the round, returning its packets in arrival order
+  // per delivering thread (exact arrival order for a single producer;
+  // frames of concurrent producers interleave by staging lane).
   // Packets are the frames' payload refs — still aliasing the transport
   // decoders' pooled blocks, which recycle once the round is consumed.
   // Rounds must be taken strictly in order (throws std::logic_error
@@ -185,11 +205,24 @@ class RoundBuffer {
   RoundBufferStats stats() const;
 
  private:
+  // A data frame admitted on the fast path, waiting in its lane.
+  struct Staged {
+    uint64_t round;
+    uint64_t identity;
+    PayloadRef payload;
+  };
+  // Staging area of the threads whose thread-local lane index maps here.
+  struct alignas(64) Lane {
+    std::mutex mu;
+    std::vector<Staged> frames;
+  };
+  static constexpr std::size_t kLanes = 16;
+
   struct PendingRound {
     std::vector<PayloadRef> packets;
     // Identities of the packets buffered so far; completion counts these,
     // not raw arrivals, so a duplicate cannot mask a loss.
-    std::unordered_set<uint64_t> identities;
+    U64Set identities;
     bool marker_seen = false;
     uint64_t expected = 0;  // distinct packets announced; valid once marker_seen
   };
@@ -197,13 +230,42 @@ class RoundBuffer {
     return p.marker_seen && p.identities.size() >= p.expected;
   }
 
+  // Fast path: appends to the calling thread's lane when the watermarks
+  // admit `round` and no marker has reached it; false sends the frame to
+  // the slow path (payload untouched).
+  bool TryStage(uint64_t round, uint64_t identity, PayloadRef& payload);
+  // The watermark policy's verdict on `round`; kBuffered admits.
+  DeliverResult Watermark(uint64_t round) const;
+  // Under mu_: Watermark, counting a drop or advancing newest_round_.
+  DeliverResult AdmitLocked(uint64_t round);
+  // Under mu_: queues one admitted data frame in its pending round.
+  PendingRound& BufferLocked(uint64_t round, uint64_t identity,
+                             PayloadRef&& payload) const;
+  // Under mu_: moves every staged frame into pending_. Costs O(staged
+  // frames): only lanes flagged in staged_lanes_ are visited.
+  void MergeLocked() const;
+
   const RoundBufferOptions options_;
+  // Watermarks, read lock-free by the fast path and written under mu_
+  // (newest_round_ also by the fast path, by fetch-max).
+  std::atomic<uint64_t> next_round_{0};    // lowest undrained round
+  std::atomic<uint64_t> newest_round_{0};  // highest admitted round
+  // One past the highest admitted end-marker round (0 = none): frames of
+  // rounds below it take the slow path, the only one that completes rounds.
+  std::atomic<uint64_t> marker_floor_{0};
+  // Bit i set: lane i may hold staged frames. A thread sets its bit when it
+  // stages into an empty lane, *before* reading the watermarks; a merge
+  // clears the bits it is about to visit.
+  mutable std::atomic<uint32_t> staged_lanes_{0};
+  mutable Lane lanes_[kLanes];
+
+  // Merged state. Merging is invisible to callers (a staged frame already
+  // counts as delivered), so the const observers merge too.
   mutable std::mutex mu_;
   std::condition_variable complete_cv_;
-  std::map<uint64_t, PendingRound> pending_;
-  uint64_t next_round_ = 0;     // lowest undrained round
-  uint64_t newest_round_ = 0;   // highest round ever seen (admission clock)
-  RoundBufferStats stats_;
+  mutable std::map<uint64_t, PendingRound> pending_;
+  mutable RoundBufferStats stats_;
+  mutable std::vector<Staged> merge_scratch_;  // swapped with a lane's frames
   // Written under mu_ from the draining (session) side only.
   std::unique_ptr<obs::StatsFeed<RoundBufferStats>> metrics_feed_;
   obs::Gauge* pending_gauge_ = nullptr;
@@ -211,13 +273,16 @@ class RoundBuffer {
 
 // Routes frames to per-session RoundBuffers by Frame::session_id: one
 // listener socket (or one replayed log) can feed every session of a
-// StreamServer. Register before traffic flows; delivery is thread-safe
-// (one mutex — contention is negligible next to socket reads and sketch
-// folding).
+// StreamServer. Register before traffic flows. Delivery is lock-free: the
+// routes live in a fixed array whose length is published by a release
+// store, so concurrent readers share no written cache line.
 class FrameDemux {
  public:
+  static constexpr std::size_t kMaxSessions = 64;
+
   // Registers `buffer` for `session_id`; the buffer must outlive the
-  // demux's traffic. Throws std::invalid_argument on a duplicate id.
+  // demux's traffic. Throws std::invalid_argument on a duplicate id or a
+  // null buffer, std::length_error beyond kMaxSessions.
   void Register(uint64_t session_id, RoundBuffer* buffer);
 
   // Delivers one frame to its session's buffer; frames for unregistered
@@ -230,9 +295,14 @@ class FrameDemux {
   uint64_t unknown_session_drops() const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<uint64_t, RoundBuffer*> buffers_;
-  uint64_t unknown_session_drops_ = 0;
+  struct Route {
+    uint64_t session_id = 0;
+    RoundBuffer* buffer = nullptr;
+  };
+  std::mutex register_mu_;
+  Route routes_[kMaxSessions];
+  std::atomic<std::size_t> num_routes_{0};
+  std::atomic<uint64_t> unknown_session_drops_{0};
 };
 
 // --- serving-layer integration -------------------------------------------

@@ -70,13 +70,16 @@ void SocketListener::ReadLoop(int fd) {
   FrameDecoder decoder;
   Frame frame;
   constexpr std::size_t kChunk = 64 * 1024;
-  // Latch the stage histogram once: the reader was minted under mu_, so an
+  // Latch the instruments once: the reader was minted under mu_, so an
   // AttachMetrics that happened-before this connection is visible here.
   obs::Histogram* decode_hist;
+  obs::StatsFeed<FrameStats>* feed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     decode_hist = decode_hist_;
+    feed = metrics_feed_.get();
   }
+  FrameStats published;  // what this connection has added to `feed`
   for (;;) {
     // Zero-copy intake: recv straight into the decoder's pooled block; the
     // bytes are never staged in a side buffer, and decoded payloads alias
@@ -91,6 +94,10 @@ void SocketListener::ReadLoop(int fd) {
       const uint64_t t0 = obs::NowNs();
       while (decoder.Next(&frame)) handler_(std::move(frame));
       decode_hist->Observe(obs::NowNs() - t0);
+      // Each drain's decode stats go live, so a long-lived link shows in
+      // /metrics before it closes.
+      feed->Add(obs::CounterDelta(decoder.stats(), published));
+      published = decoder.stats();
     } else {
       while (decoder.Next(&frame)) handler_(std::move(frame));
     }
@@ -101,7 +108,6 @@ void SocketListener::ReadLoop(int fd) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ += decoder.stats();
     connection_stats_.push_back(decoder.stats());
-    if (metrics_feed_ != nullptr) metrics_feed_->Add(decoder.stats());
     for (int& reader_fd : reader_fds_) {
       if (reader_fd == fd) {
         reader_fd = -1;

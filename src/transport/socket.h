@@ -41,9 +41,10 @@ class SocketListener {
   SocketListener(const SocketListener&) = delete;
   SocketListener& operator=(const SocketListener&) = delete;
 
-  // Observability (optional): publishes closed connections' decoder stats
-  // to the canonical ldpids_frame_* metrics and records each recv drain's
-  // decode+deliver time into the frame_decode stage histogram, labeled
+  // Observability (optional): publishes each recv drain's decoder stats
+  // delta to the canonical ldpids_frame_* metrics (live connections show
+  // before they close) and records the drain's decode+deliver time into
+  // the frame_decode stage histogram, labeled
   // {session=label} when `label` is non-empty. Attach before clients
   // connect — a reader started earlier keeps running uninstrumented.
   // Registry must outlive the listener.
@@ -80,9 +81,9 @@ class SocketListener {
   FrameStats stats_;
   std::vector<FrameStats> connection_stats_;
   uint64_t connections_ = 0;
-  // Observability (null until AttachMetrics). The histogram is recorded
-  // from reader threads (Observe is lock-free); the feed is only touched
-  // at connection close, under mu_.
+  // Observability (null until AttachMetrics). Both are latched by each
+  // reader at connection start and written from reader threads (Observe
+  // and StatsFeed::Add are lock-free).
   obs::Histogram* decode_hist_ = nullptr;
   std::unique_ptr<obs::StatsFeed<FrameStats>> metrics_feed_;
 };

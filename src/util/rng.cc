@@ -4,18 +4,6 @@
 
 namespace ldpids {
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Mix64(uint64_t x) {
-  uint64_t state = x;
-  return SplitMix64(state);
-}
-
 uint64_t HashCounter(uint64_t seed, uint64_t a, uint64_t b) {
   // Feed the three words through the SplitMix64 finalizer sequentially.
   // Multiplying by distinct odd constants before mixing breaks the symmetry

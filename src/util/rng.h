@@ -24,12 +24,18 @@ namespace ldpids {
 // SplitMix64 step; used for seeding and for the stateless counter hash.
 // Reference: Steele, Lea, Flood — "Fast splittable pseudorandom number
 // generators" (the standard seeding recommendation of the xoshiro authors).
-uint64_t SplitMix64(uint64_t& state);
+// Inline: it is the hash of every U64Set probe and ingest shard pick.
+inline uint64_t SplitMix64(uint64_t& state) {
+  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 // Stateless mixing of a 64-bit input to a 64-bit output (fixed-key hash).
 // This is the finalizer of SplitMix64 applied once; it is a bijection with
 // good avalanche behaviour, sufficient for synthetic data generation.
-uint64_t Mix64(uint64_t x);
+inline uint64_t Mix64(uint64_t x) { return SplitMix64(x); }
 
 // Combines a seed and two counters (e.g. user id and timestamp) into a
 // uniform 64-bit value. Deterministic and stateless.

@@ -1,4 +1,4 @@
-// Mix64 (the SplitMix64 finalizer, util/rng.cc) replicated across the four
+// Mix64 (the SplitMix64 finalizer, util/rng.h) replicated across the four
 // SIMD lanes of util/simd/simd.h. Shared by the frequency-oracle kernels
 // (src/fo/fo_kernels.cc, vectorized HashCounter) and the wire checksum
 // (src/fo/wire.cc, lane mixing): the sequence must stay the exact scalar

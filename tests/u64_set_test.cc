@@ -32,13 +32,13 @@ TEST(U64SetTest, MatchesUnorderedSetOverRandomWorkload) {
 TEST(U64SetTest, ZeroKeyAndReinsertion) {
   U64Set set;
   EXPECT_FALSE(set.Contains(0));
-  set.Insert(0);
+  EXPECT_TRUE(set.Insert(0));
   EXPECT_TRUE(set.Contains(0));
   EXPECT_EQ(set.size(), 1u);
-  set.Insert(0);  // no-op
+  EXPECT_FALSE(set.Insert(0));  // no-op
   EXPECT_EQ(set.size(), 1u);
-  set.Insert(7);
-  set.Insert(7);
+  EXPECT_TRUE(set.Insert(7));
+  EXPECT_FALSE(set.Insert(7));
   EXPECT_EQ(set.size(), 2u);
   EXPECT_TRUE(set.Contains(7));
   EXPECT_FALSE(set.Contains(8));
